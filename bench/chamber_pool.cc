@@ -1,5 +1,6 @@
-// Chamber-pool micro-benchmark: pre-warmed workers vs fork-per-block, and
-// zero-copy columnar block views vs the row-copy partitioning they replaced.
+// Chamber-pool micro-benchmark: pre-warmed workers vs fork-per-block vs
+// the in-thread chamber, and zero-copy columnar block views vs the
+// row-copy partitioning they replaced.
 //
 // Two claims are made machine-checkable here (BENCH_chamber_pool.json, run
 // through tools/bench_runner.py so regressions gate on the _s/_ratio
@@ -13,6 +14,10 @@
 //      cell twice — once gathering the block Subset, once handing the
 //      chamber its private row copy — before counting per-Row allocation
 //      overhead.
+//
+// It also reports the price of process isolation itself: the pooled
+// per-block time over the in-thread ExecutionChamber's
+// (pool_over_inthread_ratio), with no threshold attached.
 
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +27,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "data/partitioner.h"
+#include "exec/chamber.h"
 #include "exec/chamber_pool.h"
 #include "exec/process_chamber.h"
 #include "obs/metrics.h"
@@ -120,6 +126,20 @@ double ForkSecondsPerBlock(const BlockSet& set, const Row& fallback) {
   return seconds / static_cast<double>(set.slices.size());
 }
 
+/// Seconds per block in the in-thread chamber: a fresh program instance
+/// and policed services, no process boundary.
+double InThreadSecondsPerBlock(const BlockSet& set, const Row& fallback) {
+  ExecutionChamber chamber{ChamberPolicy{}};
+  ProgramFactory factory = MeanFactory();
+  double seconds = bench::TimeSeconds([&] {
+    for (std::size_t b = 0; b < set.slices.size(); ++b) {
+      auto run = chamber.Execute(factory, set.block(b), fallback);
+      if (!run.ok() || run->used_fallback) std::exit(1);
+    }
+  });
+  return seconds / static_cast<double>(set.slices.size());
+}
+
 /// Seconds per block leasing one pre-warmed worker (sequential leases, the
 /// apples-to-apples shape against the sequential fork loop).
 double PooledSecondsPerBlock(const BlockSet& set, const Row& fallback) {
@@ -166,17 +186,23 @@ int Run() {
   // Warm both paths once so first-touch costs stay out of the timing.
   double fork_block_s = ForkSecondsPerBlock(*set, fallback);
   double pool_block_s = PooledSecondsPerBlock(*set, fallback);
+  double inthread_block_s = InThreadSecondsPerBlock(*set, fallback);
   double speedup = fork_block_s / pool_block_s;
+  double pool_over_inthread = pool_block_s / inthread_block_s;
 
   CopyCosts costs = MeasureCopiedBytes(data);
   double copied_bytes_ratio = costs.columnar_bytes / costs.row_bytes;
 
-  bench::PrintRow({"path", "block_s", "blocks_per_s"});
-  bench::PrintRow({"fork_per_block", bench::Fmt(fork_block_s, 6),
+  bench::PrintRow({"path", "block_ns", "blocks_per_s"});
+  bench::PrintRow({"fork_per_block", bench::Fmt(fork_block_s * 1e9, 0),
                    bench::Fmt(1.0 / fork_block_s, 1)});
-  bench::PrintRow({"pooled_lease", bench::Fmt(pool_block_s, 6),
+  bench::PrintRow({"pooled_lease", bench::Fmt(pool_block_s * 1e9, 0),
                    bench::Fmt(1.0 / pool_block_s, 1)});
+  bench::PrintRow({"in_thread", bench::Fmt(inthread_block_s * 1e9, 0),
+                   bench::Fmt(1.0 / inthread_block_s, 1)});
   bench::PrintRow({"fork_over_pool_speedup", bench::Fmt(speedup, 2)});
+  bench::PrintRow(
+      {"pool_over_inthread_ratio", bench::Fmt(pool_over_inthread, 2)});
   bench::PrintRow({"columnar_copied_mb",
                    bench::Fmt(costs.columnar_bytes / 1048576.0, 2)});
   bench::PrintRow(
@@ -193,13 +219,15 @@ int Run() {
   std::fprintf(out,
                "{\"num_blocks\": %zu, \"block_rows\": %zu, "
                "\"fork_block_s\": %.9f, \"pool_block_s\": %.9f, "
+               "\"inthread_block_s\": %.9f, "
                "\"fork_over_pool_speedup\": %.3f, "
+               "\"pool_over_inthread_ratio\": %.3f, "
                "\"columnar_copied_bytes\": %.0f, "
                "\"row_copied_bytes\": %.0f, "
                "\"copied_bytes_ratio\": %.6f}\n",
                kNumBlocks, kRows / kNumBlocks, fork_block_s, pool_block_s,
-               speedup, costs.columnar_bytes, costs.row_bytes,
-               copied_bytes_ratio);
+               inthread_block_s, speedup, pool_over_inthread,
+               costs.columnar_bytes, costs.row_bytes, copied_bytes_ratio);
   std::fclose(out);
   std::printf("# wrote BENCH_chamber_pool.json\n");
   return speedup >= 5.0 ? 0 : 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace gupt {
 namespace analytics {
@@ -44,7 +45,8 @@ ProgramFactory QuantileQuery(std::size_t dim, double q) {
       "quantile[" + std::to_string(dim) + "," + std::to_string(q) + "]", 1,
       [dim, q](const Dataset& block) -> Result<Row> {
         GUPT_ASSIGN_OR_RETURN(auto column, ColumnOrError(block, dim));
-        GUPT_ASSIGN_OR_RETURN(double value, stats::Quantile(column, q));
+        GUPT_ASSIGN_OR_RETURN(double value,
+                              stats::Quantile(std::move(column), q));
         return Row{value};
       });
 }

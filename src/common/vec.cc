@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 
 namespace gupt {
 namespace vec {
@@ -100,12 +101,18 @@ Result<double> Quantile(std::vector<double> xs, double q) {
   if (q < 0.0 || q > 1.0) {
     return Status::InvalidArgument("quantile q must be in [0, 1]");
   }
-  std::sort(xs.begin(), xs.end());
   double pos = q * static_cast<double>(xs.size() - 1);
   std::size_t lo = static_cast<std::size_t>(pos);
   std::size_t hi = std::min(lo + 1, xs.size() - 1);
   double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  // Selection, not a full sort: nth_element places the lo-th order
+  // statistic with nothing smaller after it, so the hi-th (= lo+1-th) is
+  // the minimum of the tail.
+  auto lo_it = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), lo_it, xs.end());
+  double x_lo = *lo_it;
+  double x_hi = hi == lo ? x_lo : *std::min_element(lo_it + 1, xs.end());
+  return x_lo * (1.0 - frac) + x_hi * frac;
 }
 
 double Rmse(const std::vector<double>& estimates,

@@ -61,8 +61,10 @@ double Variance(const std::vector<double>& xs);
 /// Population standard deviation.
 double StdDev(const std::vector<double>& xs);
 
-/// Exact q-quantile (q in [0,1]) by linear interpolation on the sorted
-/// input. Errors on empty input or q outside [0,1].
+/// Exact q-quantile (q in [0,1]) by linear interpolation between the two
+/// neighbouring order statistics, found by selection in O(n) (the result
+/// is what interpolating on the sorted input gives). Errors on empty input
+/// or q outside [0,1].
 Result<double> Quantile(std::vector<double> xs, double q);
 
 /// Root-mean-square error between paired sequences (equal sizes).

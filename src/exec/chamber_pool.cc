@@ -1,16 +1,20 @@
 #include "exec/chamber_pool.h"
 
+#include <limits.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/uio.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "obs/prof/profiler.h"
@@ -24,55 +28,105 @@ using Clock = std::chrono::steady_clock;
 // Parent -> worker commands. kCmdCrash is the lease crash failpoint made
 // real: the worker _exits before writing a response byte, so the parent
 // observes the same EOF a genuine mid-lease SIGSEGV would produce.
-constexpr std::uint8_t kCmdRun = 1;
-constexpr std::uint8_t kCmdCrash = 2;
-constexpr std::uint8_t kCmdShutdown = 3;
+constexpr std::uint32_t kCmdRun = 1;
+constexpr std::uint32_t kCmdCrash = 2;
+constexpr std::uint32_t kCmdShutdown = 3;
 
 // Worker -> parent response statuses (a superset of the process-chamber
 // frame: workers resolve program tokens themselves and can fail at that).
-constexpr std::uint8_t kOk = 1;
-constexpr std::uint8_t kProgramError = 2;
-constexpr std::uint8_t kDimensionMismatch = 3;
-constexpr std::uint8_t kResolverError = 4;
+constexpr std::uint64_t kOk = 1;
+constexpr std::uint64_t kProgramError = 2;
+constexpr std::uint64_t kDimensionMismatch = 3;
+constexpr std::uint64_t kResolverError = 4;
 
-bool WriteFully(int fd, const void* data, std::size_t len) {
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    ssize_t n = ::write(fd, p, len);
+// One lease is one request frame and one response frame. Both headers are
+// fixed-width with no padding, so the bytes on the pipe are the structs.
+//
+// Request:  RequestHeader | token_len token bytes |
+//           num_dims column slices of num_rows doubles each
+// Response: ResponseHeader | exactly expected_dims doubles (zeros unless
+//           status == kOk)
+//
+// The response size is fixed by the request, so the parent reads it with
+// one deadline-bounded read; anything shorter (EOF) is a crashed worker.
+// Crash and shutdown commands are a bare header.
+struct RequestHeader {
+  std::uint32_t cmd;
+  std::uint32_t token_len;
+  std::uint32_t num_dims;
+  std::uint32_t expected_dims;
+  std::uint64_t num_rows;
+};
+static_assert(std::is_trivially_copyable_v<RequestHeader> &&
+                  sizeof(RequestHeader) == 24,
+              "request header is shipped as raw bytes");
+
+struct ResponseHeader {
+  std::uint64_t status;
+  std::uint64_t violations;
+  std::int64_t cpu_user_ns;
+  std::int64_t cpu_sys_ns;
+  std::int64_t max_rss_kb;
+};
+static_assert(std::is_trivially_copyable_v<ResponseHeader> &&
+                  sizeof(ResponseHeader) == 40,
+              "response header is shipped as raw bytes");
+
+using IoVecs = std::vector<struct iovec>;
+
+struct iovec Span(const void* data, std::size_t len) {
+  struct iovec v;
+  v.iov_base = const_cast<void*>(data);
+  v.iov_len = len;
+  return v;
+}
+
+/// Drops the first `n` transferred bytes from `iov[*first..]`, and any
+/// empty spans that are then at the front.
+void Advance(IoVecs* iov, std::size_t* first, std::size_t n) {
+  while (*first < iov->size() && n >= (*iov)[*first].iov_len) {
+    n -= (*iov)[*first].iov_len;
+    ++*first;
+  }
+  if (n > 0) {
+    struct iovec& v = (*iov)[*first];
+    v.iov_base = static_cast<char*>(v.iov_base) + n;
+    v.iov_len -= n;
+  }
+}
+
+int IovBatch(const IoVecs& iov, std::size_t first) {
+  return static_cast<int>(std::min<std::size_t>(iov.size() - first, IOV_MAX));
+}
+
+/// Writes every byte of `iov` (a blocking pipe normally takes the whole
+/// frame in one writev).
+bool WriteFully(int fd, IoVecs iov) {
+  std::size_t first = 0;
+  Advance(&iov, &first, 0);
+  while (first < iov.size()) {
+    ssize_t n = ::writev(fd, &iov[first], IovBatch(iov, first));
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    p += n;
-    len -= static_cast<std::size_t>(n);
+    Advance(&iov, &first, static_cast<std::size_t>(n));
   }
   return true;
 }
 
-/// Blocking exact read (worker side — workers have no deadline of their
-/// own; the parent enforces deadlines and kills overrunners).
-bool ReadFully(int fd, void* data, std::size_t len) {
-  char* p = static_cast<char*>(data);
-  while (len > 0) {
-    ssize_t n = ::read(fd, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Parent-side exact read honouring an absolute deadline (nullopt = none).
-bool ReadFullyWithDeadline(int fd, void* data, std::size_t len,
-                           const std::optional<Clock::time_point>& deadline,
-                           bool* timed_out) {
-  char* p = static_cast<char*>(data);
-  while (len > 0) {
-    int wait_ms = -1;
+/// Fills every byte of `iov`, honouring an absolute deadline (nullopt =
+/// block without one; workers have no deadline of their own — the parent
+/// enforces deadlines and kills overrunners). EOF before the last byte is
+/// a failure: the peer died mid-frame.
+bool ReadFully(int fd, IoVecs iov,
+               const std::optional<Clock::time_point>& deadline,
+               bool* timed_out) {
+  std::size_t first = 0;
+  // Empty spans are skipped up front: a zero-byte readv returns 0, which
+  // would read as EOF.
+  Advance(&iov, &first, 0);
+  while (first < iov.size()) {
     if (deadline) {
       auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
           *deadline - Clock::now());
@@ -80,31 +134,34 @@ bool ReadFullyWithDeadline(int fd, void* data, std::size_t len,
         *timed_out = true;
         return false;
       }
-      wait_ms = static_cast<int>(remaining.count()) + 1;
+      struct pollfd pfd;
+      pfd.fd = fd;
+      pfd.events = POLLIN;
+      pfd.revents = 0;
+      int ready = ::poll(&pfd, 1, static_cast<int>(remaining.count()) + 1);
+      if (ready < 0) {
+        if (errno == EINTR) continue;
+        return false;
+      }
+      if (ready == 0) {
+        *timed_out = true;
+        return false;
+      }
     }
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int ready = ::poll(&pfd, 1, wait_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (ready == 0) {
-      *timed_out = true;
-      return false;
-    }
-    ssize_t n = ::read(fd, p, len);
+    ssize_t n = ::readv(fd, &iov[first], IovBatch(iov, first));
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    if (n == 0) return false;  // EOF: worker died mid-frame
-    p += n;
-    len -= static_cast<std::size_t>(n);
+    if (n == 0) return false;
+    Advance(&iov, &first, static_cast<std::size_t>(n));
   }
   return true;
+}
+
+bool ReadFully(int fd, IoVecs iov) {
+  bool timed_out = false;
+  return ReadFully(fd, std::move(iov), std::nullopt, &timed_out);
 }
 
 std::int64_t TimevalNs(const struct timeval& tv) {
@@ -135,7 +192,8 @@ ChamberPool::ChamberPool(ChamberPolicy policy, std::size_t num_workers)
       "Workers discarded (crash, timeout, or reset failpoint) and replaced.");
   shipped_bytes_counter_ = registry.GetCounter(
       "gupt_chamber_pool_shipped_bytes_total",
-      "Request-frame bytes shipped to pool workers (tokens plus columns).");
+      "Request-frame bytes shipped to pool workers (header, token and "
+      "columns).");
   lease_wait_histogram_ = registry.GetHistogram(
       "gupt_chamber_pool_lease_wait_seconds",
       "Time a block waited for a free pool worker.",
@@ -152,33 +210,21 @@ void ChamberPool::SetProgramResolver(ProgramResolver resolver) {
 [[noreturn]] void ChamberPool::WorkerMain(int request_fd,
                                           int response_fd) const {
   for (;;) {
-    std::uint8_t cmd = 0;
-    if (!ReadFully(request_fd, &cmd, sizeof(cmd))) ::_exit(0);
-    if (cmd == kCmdShutdown) ::_exit(0);
-    if (cmd == kCmdCrash) ::_exit(9);
+    RequestHeader request;
+    if (!ReadFully(request_fd, {Span(&request, sizeof(request))})) {
+      ::_exit(0);
+    }
+    if (request.cmd == kCmdShutdown) ::_exit(0);
+    if (request.cmd == kCmdCrash) ::_exit(9);
 
-    std::uint32_t token_len = 0;
-    std::uint32_t num_dims = 0;
-    std::uint32_t expected_dims = 0;
-    std::uint64_t num_rows = 0;
-    if (!ReadFully(request_fd, &token_len, sizeof(token_len)) ||
-        !ReadFully(request_fd, &num_dims, sizeof(num_dims)) ||
-        !ReadFully(request_fd, &expected_dims, sizeof(expected_dims)) ||
-        !ReadFully(request_fd, &num_rows, sizeof(num_rows))) {
-      ::_exit(1);
+    std::string token(request.token_len, '\0');
+    std::vector<std::vector<double>> columns(request.num_dims);
+    IoVecs body = {Span(token.data(), token.size())};
+    for (std::vector<double>& column : columns) {
+      column.resize(request.num_rows);
+      body.push_back(Span(column.data(), column.size() * sizeof(double)));
     }
-    std::string token(token_len, '\0');
-    if (token_len > 0 && !ReadFully(request_fd, token.data(), token_len)) {
-      ::_exit(1);
-    }
-    std::vector<std::vector<double>> columns(num_dims);
-    for (std::uint32_t d = 0; d < num_dims; ++d) {
-      columns[d].resize(num_rows);
-      if (!ReadFully(request_fd, columns[d].data(),
-                     num_rows * sizeof(double))) {
-        ::_exit(1);
-      }
-    }
+    if (!ReadFully(request_fd, std::move(body))) ::_exit(1);
 
     struct rusage before;
     struct rusage after;
@@ -186,15 +232,16 @@ void ChamberPool::SetProgramResolver(ProgramResolver resolver) {
     std::memset(&after, 0, sizeof(after));
     ::getrusage(RUSAGE_SELF, &before);
 
-    std::uint8_t status = kOk;
-    std::uint64_t violations = 0;
-    Row output;
+    ResponseHeader response;
+    response.status = kOk;
+    response.violations = 0;
+    Row output(request.expected_dims, 0.0);
     Result<ProgramFactory> factory =
         resolver_ ? resolver_(token)
                   : Result<ProgramFactory>(Status::Internal(
                         "chamber pool has no program resolver"));
     if (!factory.ok()) {
-      status = kResolverError;
+      response.status = kResolverError;
     } else {
       ChamberServices services(policy_);
       Result<Row> result = Status::Internal("never ran");
@@ -209,11 +256,12 @@ void ChamberPool::SetProgramResolver(ProgramResolver resolver) {
       } catch (...) {
         result = Status::PolicyViolation("program threw");
       }
-      violations = static_cast<std::uint64_t>(services.violation_count());
+      response.violations =
+          static_cast<std::uint64_t>(services.violation_count());
       if (!result.ok()) {
-        status = kProgramError;
-      } else if (result.value().size() != expected_dims) {
-        status = kDimensionMismatch;
+        response.status = kProgramError;
+      } else if (result.value().size() != request.expected_dims) {
+        response.status = kDimensionMismatch;
       } else {
         output = std::move(result).value();
       }
@@ -223,23 +271,17 @@ void ChamberPool::SetProgramResolver(ProgramResolver resolver) {
     // Per-lease rusage delta reported by the worker itself: the parent
     // cannot wait4() a worker that stays alive across leases. Max RSS is a
     // process high-water mark, not a delta.
-    std::int64_t cpu_user_ns =
+    response.cpu_user_ns =
         TimevalNs(after.ru_utime) - TimevalNs(before.ru_utime);
-    std::int64_t cpu_sys_ns =
+    response.cpu_sys_ns =
         TimevalNs(after.ru_stime) - TimevalNs(before.ru_stime);
-    std::int64_t max_rss_kb = static_cast<std::int64_t>(after.ru_maxrss);
+    response.max_rss_kb = static_cast<std::int64_t>(after.ru_maxrss);
 
-    bool ok = WriteFully(response_fd, &status, sizeof(status)) &&
-              WriteFully(response_fd, &violations, sizeof(violations)) &&
-              WriteFully(response_fd, &cpu_user_ns, sizeof(cpu_user_ns)) &&
-              WriteFully(response_fd, &cpu_sys_ns, sizeof(cpu_sys_ns)) &&
-              WriteFully(response_fd, &max_rss_kb, sizeof(max_rss_kb));
-    if (ok && status == kOk) {
-      auto n = static_cast<std::uint64_t>(output.size());
-      ok = WriteFully(response_fd, &n, sizeof(n)) &&
-           WriteFully(response_fd, output.data(), n * sizeof(double));
+    if (!WriteFully(response_fd,
+                    {Span(&response, sizeof(response)),
+                     Span(output.data(), output.size() * sizeof(double))})) {
+      ::_exit(1);
     }
-    if (!ok) ::_exit(1);
   }
 }
 
@@ -328,8 +370,9 @@ void ChamberPool::Shutdown() {
   for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
     Worker& w = slots_[slot];
     if (!w.alive) continue;
-    std::uint8_t cmd = kCmdShutdown;
-    (void)WriteFully(w.to_child, &cmd, sizeof(cmd));
+    RequestHeader request{};
+    request.cmd = kCmdShutdown;
+    (void)WriteFully(w.to_child, {Span(&request, sizeof(request))});
     DiscardSlotLocked(slot, /*kill=*/false);
   }
   worker_free_.notify_all();
@@ -423,71 +466,38 @@ Result<ChamberRun> ChamberPool::Execute(const std::string& program_token,
       std::chrono::duration<double>(Clock::now() - start).count());
   Worker& w = slots_[static_cast<std::size_t>(slot)];  // stable after Start
 
-  // Ship the request frame. A failed write means the worker is already
-  // dead (EPIPE); that is the same story as EOF below.
-  bool shipped = false;
-  std::uint64_t frame_bytes = 0;
-  {
-    std::uint8_t cmd = inject_crash ? kCmdCrash : kCmdRun;
-    shipped = WriteFully(w.to_child, &cmd, sizeof(cmd));
-    frame_bytes += sizeof(cmd);
-    if (shipped && !inject_crash) {
-      auto token_len = static_cast<std::uint32_t>(program_token.size());
-      auto num_dims = static_cast<std::uint32_t>(block.num_dims());
-      auto expected_dims = static_cast<std::uint32_t>(fallback.size());
-      auto num_rows = static_cast<std::uint64_t>(block.num_rows());
-      shipped = WriteFully(w.to_child, &token_len, sizeof(token_len)) &&
-                WriteFully(w.to_child, &num_dims, sizeof(num_dims)) &&
-                WriteFully(w.to_child, &expected_dims, sizeof(expected_dims)) &&
-                WriteFully(w.to_child, &num_rows, sizeof(num_rows)) &&
-                WriteFully(w.to_child, program_token.data(), token_len);
-      frame_bytes += sizeof(token_len) + sizeof(num_dims) +
-                     sizeof(expected_dims) + sizeof(num_rows) + token_len;
-      for (std::size_t d = 0; shipped && d < block.num_dims(); ++d) {
-        shipped = WriteFully(w.to_child, block.col(d),
-                             block.num_rows() * sizeof(double));
-        frame_bytes += block.num_rows() * sizeof(double);
-      }
+  // Ship the request frame in one writev loop (a crash command is a bare
+  // header). A failed write means the worker is already dead (EPIPE);
+  // that is the same story as EOF below.
+  RequestHeader request{};
+  request.cmd = inject_crash ? kCmdCrash : kCmdRun;
+  IoVecs frame = {Span(&request, sizeof(request))};
+  if (!inject_crash) {
+    request.token_len = static_cast<std::uint32_t>(program_token.size());
+    request.num_dims = static_cast<std::uint32_t>(block.num_dims());
+    request.expected_dims = static_cast<std::uint32_t>(fallback.size());
+    request.num_rows = static_cast<std::uint64_t>(block.num_rows());
+    frame.push_back(Span(program_token.data(), program_token.size()));
+    for (std::size_t d = 0; d < block.num_dims(); ++d) {
+      frame.push_back(Span(block.col(d), block.num_rows() * sizeof(double)));
     }
   }
-  stats_.shipped_bytes += frame_bytes;
+  std::uint64_t frame_bytes = 0;
+  for (const struct iovec& span : frame) frame_bytes += span.iov_len;
+  const bool shipped = WriteFully(w.to_child, std::move(frame));
   shipped_bytes_counter_->Increment(static_cast<double>(frame_bytes));
 
-  // Read the response under the deadline (when shipping already failed we
-  // skip straight to the crash handling below).
-  std::uint8_t status = 0;
-  std::uint64_t violations = 0;
-  std::int64_t cpu_user_ns = 0;
-  std::int64_t cpu_sys_ns = 0;
-  std::int64_t max_rss_kb = 0;
+  // Read the fixed-size response frame under the deadline (when shipping
+  // already failed we skip straight to the crash handling below).
+  ResponseHeader response{};
+  Row output(fallback.size());
   bool timed_out = false;
-  bool frame_ok = shipped;
-  Row output;
-  if (frame_ok) {
-    frame_ok =
-        ReadFullyWithDeadline(w.from_child, &status, sizeof(status), deadline,
-                              &timed_out) &&
-        ReadFullyWithDeadline(w.from_child, &violations, sizeof(violations),
-                              deadline, &timed_out) &&
-        ReadFullyWithDeadline(w.from_child, &cpu_user_ns, sizeof(cpu_user_ns),
-                              deadline, &timed_out) &&
-        ReadFullyWithDeadline(w.from_child, &cpu_sys_ns, sizeof(cpu_sys_ns),
-                              deadline, &timed_out) &&
-        ReadFullyWithDeadline(w.from_child, &max_rss_kb, sizeof(max_rss_kb),
-                              deadline, &timed_out);
-  }
-  if (frame_ok && status == kOk) {
-    std::uint64_t n = 0;
-    frame_ok = ReadFullyWithDeadline(w.from_child, &n, sizeof(n), deadline,
-                                     &timed_out) &&
-               n == fallback.size();
-    if (frame_ok) {
-      output.resize(n);
-      frame_ok = ReadFullyWithDeadline(w.from_child, output.data(),
-                                       n * sizeof(double), deadline,
-                                       &timed_out);
-    }
-  }
+  const bool frame_ok =
+      shipped &&
+      ReadFully(w.from_child,
+                {Span(&response, sizeof(response)),
+                 Span(output.data(), output.size() * sizeof(double))},
+                deadline, &timed_out);
 
   const bool worker_healthy = frame_ok && !timed_out;
   bool discard = !worker_healthy;
@@ -503,6 +513,7 @@ Result<ChamberRun> ChamberPool::Execute(const std::string& program_token,
   {
     std::lock_guard<std::mutex> lock(mu_);
     --leased_count_;
+    stats_.shipped_bytes += frame_bytes;
     if (discard) {
       DiscardSlotLocked(static_cast<std::size_t>(slot),
                         /*kill=*/timed_out || !frame_ok);
@@ -514,44 +525,39 @@ Result<ChamberRun> ChamberPool::Execute(const std::string& program_token,
   }
   worker_free_.notify_one();
 
-  run.policy_violations = static_cast<std::size_t>(violations);
-  run.child_user_cpu_ns = cpu_user_ns;
-  run.child_sys_cpu_ns = cpu_sys_ns;
-  run.child_max_rss_kb = max_rss_kb;
   if (timed_out) {
+    // The partial frame is not trustworthy: no rusage, no violations.
     run.deadline_exceeded = true;
     run.used_fallback = true;
     run.output = fallback;
-    run.policy_violations = 0;  // the partial frame is not trustworthy
-    run.child_user_cpu_ns = 0;
-    run.child_sys_cpu_ns = 0;
-    run.child_max_rss_kb = 0;
     run.program_status =
         Status::DeadlineExceeded("pooled block exceeded cycle budget");
   } else if (!frame_ok) {
     run.used_fallback = true;
     run.output = fallback;
-    run.policy_violations = 0;
-    run.child_user_cpu_ns = 0;
-    run.child_sys_cpu_ns = 0;
-    run.child_max_rss_kb = 0;
     run.program_status = Status::PolicyViolation(
         "pool worker crashed or sent a malformed frame");
-  } else if (status == kOk) {
-    run.output = std::move(output);
-    run.program_status = Status::OK();
   } else {
-    run.used_fallback = true;
-    run.output = fallback;
-    if (status == kDimensionMismatch) {
-      run.program_status =
-          Status::PolicyViolation("pooled program returned wrong arity");
-    } else if (status == kResolverError) {
-      run.program_status =
-          Status::Internal("pool worker could not resolve program token");
+    run.policy_violations = static_cast<std::size_t>(response.violations);
+    run.child_user_cpu_ns = response.cpu_user_ns;
+    run.child_sys_cpu_ns = response.cpu_sys_ns;
+    run.child_max_rss_kb = response.max_rss_kb;
+    if (response.status == kOk) {
+      run.output = std::move(output);
+      run.program_status = Status::OK();
     } else {
-      run.program_status =
-          Status::NumericalError("pooled program reported an error");
+      run.used_fallback = true;
+      run.output = fallback;
+      if (response.status == kDimensionMismatch) {
+        run.program_status =
+            Status::PolicyViolation("pooled program returned wrong arity");
+      } else if (response.status == kResolverError) {
+        run.program_status =
+            Status::Internal("pool worker could not resolve program token");
+      } else {
+        run.program_status =
+            Status::NumericalError("pooled program reported an error");
+      }
     }
   }
   return finish(std::move(run));

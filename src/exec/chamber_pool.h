@@ -7,9 +7,11 @@
 // single-threaded point, and thereafter *leases* a worker per block over a
 // pipe protocol:
 //
-//   parent --> worker   run frame: program token + columnar block slices
-//   worker --> parent   result frame: status, violations, rusage delta,
-//                       output vector
+//   parent --> worker   one request frame: fixed header + program token
+//                       + columnar block slices, shipped by one writev
+//   worker --> parent   one fixed-size response frame: status,
+//                       violations, rusage delta + exactly the expected
+//                       number of output doubles
 //
 // Worker lifecycle (see docs/architecture.md "Chamber lifecycle"):
 //

@@ -60,10 +60,12 @@ struct ServiceOptions {
   /// 0 = unbounded.
   std::size_t query_cache_capacity = 1024;
   /// Upper bound on in-memory audit records (ring-buffer semantics: the
-  /// oldest entries rotate out). 0 = unbounded. The monotonically
-  /// increasing record ids and gupt_service_audit_records_total reveal
-  /// how many records ever existed, so rotation is detectable.
-  std::size_t audit_log_capacity = 0;
+  /// oldest entries rotate out). A record holds about 1.1 KB (trace
+  /// summary included), so the default keeps the log to a few MB for the
+  /// life of the process. 0 = unbounded. The monotonically increasing
+  /// record ids and gupt_service_audit_records_total reveal how many
+  /// records ever existed, so rotation is detectable.
+  std::size_t audit_log_capacity = 4096;
   /// Pre-warmed chamber-pool workers for per-block program execution.
   /// When > 0 the service forks that many worker processes ONCE at
   /// construction (before any service thread exists) and every registry

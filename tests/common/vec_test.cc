@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace gupt {
 namespace {
@@ -84,6 +90,61 @@ TEST(StatsTest, QuantileErrors) {
   EXPECT_FALSE(stats::Quantile({}, 0.5).ok());
   EXPECT_FALSE(stats::Quantile({1.0}, -0.1).ok());
   EXPECT_FALSE(stats::Quantile({1.0}, 1.1).ok());
+}
+
+/// The quantile as the full-sort implementation computed it: the
+/// reference the selection-based stats::Quantile must reproduce bit for
+/// bit.
+double SortedQuantile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  double pos = q * static_cast<double>(xs.size() - 1);
+  std::size_t lo = static_cast<std::size_t>(pos);
+  std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  double frac = pos - static_cast<double>(lo);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+std::uint64_t Bits(double x) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+TEST(StatsTest, QuantileBySelectionMatchesSortBitForBit) {
+  const std::vector<double> fixed_qs = {0.0, 0.25, 0.5, 0.75, 1.0};
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 1 + rng.UniformUint64(2000);
+    // Heavy ties: draw from a pool of a few distinct values (both signed
+    // zeros among them), occasionally mixed with continuous values.
+    std::vector<double> pool = {-0.0, 0.0};
+    const std::size_t distinct = 1 + rng.UniformUint64(8);
+    for (std::size_t i = 0; i < distinct; ++i) {
+      pool.push_back(rng.UniformDouble(-50.0, 50.0));
+    }
+    const bool mixed = rng.UniformUint64(3) == 0;
+    std::vector<double> xs(n);
+    for (double& x : xs) {
+      x = mixed && rng.UniformUint64(2) == 0
+              ? rng.Gaussian(0.0, 20.0)
+              : pool[rng.UniformUint64(pool.size())];
+    }
+    std::vector<double> qs = fixed_qs;
+    for (int i = 0; i < 5; ++i) qs.push_back(rng.UniformDouble());
+    for (double q : qs) {
+      const double expected = SortedQuantile(xs, q);
+      const double actual = stats::Quantile(xs, q).value();
+      if (expected == 0.0) {
+        // std::sort never ordered -0.0 against 0.0 deterministically
+        // either, so only the value is pinned for a zero result.
+        EXPECT_EQ(actual, expected) << "seed " << seed << " q " << q;
+      } else {
+        EXPECT_EQ(Bits(actual), Bits(expected))
+            << "seed " << seed << " n " << n << " q " << q << ": "
+            << actual << " vs " << expected;
+      }
+    }
+  }
 }
 
 TEST(StatsTest, Rmse) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,11 +29,45 @@ ProgramFactory SumFactory() {
   });
 }
 
+/// Arity-3 program over a 3-column block: per column, a sum of squares
+/// weighted by 1/(row + 3) (rounding-sensitive, so any reordering or lost
+/// bit in transit shows).
+ProgramFactory ColumnMomentsFactory() {
+  return MakeProgramFactory(
+      "moments", 3, [](const Dataset& block) -> Result<Row> {
+        Row out(block.num_dims(), 0.0);
+        for (std::size_t d = 0; d < block.num_dims(); ++d) {
+          const double* col = block.col(d);
+          for (std::size_t r = 0; r < block.num_rows(); ++r) {
+            out[d] += col[r] * col[r] / static_cast<double>(r + 3);
+          }
+        }
+        return out;
+      });
+}
+
+Dataset ThreeColumns(std::size_t rows) {
+  std::vector<std::vector<double>> columns(3);
+  for (std::size_t r = 0; r < rows; ++r) {
+    columns[0].push_back(0.1 * static_cast<double>(r) + 1.0 / 3.0);
+    columns[1].push_back(-17.25 + 1e-9 * static_cast<double>(r * r));
+    columns[2].push_back(static_cast<double>(r % 7) / 11.0);
+  }
+  return Dataset::FromColumns(std::move(columns)).value();
+}
+
 /// Resolver covering every behaviour the protocol must carry: a clean
-/// program, a wrong-arity program, a failing program, and a stalling one.
+/// program, a wrong-arity program, a failing program, a stalling one, a
+/// multi-column one and one that kills its worker.
 ProgramResolver TestResolver() {
   return [](const std::string& token) -> Result<ProgramFactory> {
     if (token == "sum") return SumFactory();
+    if (token == "moments") return ColumnMomentsFactory();
+    if (token == "abort") {
+      return MakeProgramFactory("abort", 1, [](const Dataset&) -> Result<Row> {
+        std::abort();
+      });
+    }
     if (token == "pair") {
       return MakeProgramFactory("pair", 2, [](const Dataset&) -> Result<Row> {
         return Row{1.0, 2.0};
@@ -87,6 +122,71 @@ TEST(ChamberPoolTest, OutputMatchesInProcessChamberBitForBit) {
   ASSERT_TRUE(pooled.ok());
   ASSERT_EQ(pooled->output.size(), direct->output.size());
   EXPECT_EQ(pooled->output[0], direct->output[0]);
+}
+
+TEST(ChamberPoolTest, MultiColumnOutputMatchesInProcessChamberBitForBit) {
+  Dataset data = ThreeColumns(257);
+  ExecutionChamber chamber{ChamberPolicy{}};
+  Row fallback{0.0, 0.0, 0.0};
+  auto direct = chamber.Execute(ColumnMomentsFactory(), data, fallback);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_FALSE(direct->used_fallback);
+
+  ChamberPool pool(ChamberPolicy{}, 1);
+  pool.SetProgramResolver(TestResolver());
+  ASSERT_TRUE(pool.Start().ok());
+  auto pooled = pool.Execute("moments", data.view(), fallback);
+  ASSERT_TRUE(pooled.ok());
+  EXPECT_FALSE(pooled->used_fallback);
+  ASSERT_EQ(pooled->output.size(), 3u);
+  for (std::size_t d = 0; d < 3; ++d) {
+    EXPECT_EQ(pooled->output[d], direct->output[d]) << "dim " << d;
+  }
+}
+
+TEST(ChamberPoolTest, ShippedBytesPinTheRequestFrameLayout) {
+  ChamberPool pool(ChamberPolicy{}, 1);
+  pool.SetProgramResolver(TestResolver());
+  ASSERT_TRUE(pool.Start().ok());
+  constexpr std::size_t kRows = 41;
+  Dataset data = ThreeColumns(kRows);
+  auto run = pool.Execute("moments", data.view(), Row{0.0, 0.0, 0.0});
+  ASSERT_TRUE(run.ok());
+  ASSERT_FALSE(run->used_fallback);
+  // One frame: a 24-byte header (cmd, token length, dims, expected dims:
+  // 4 bytes each; rows: 8 bytes), the token, then every column slice.
+  constexpr std::size_t kHeaderBytes = 24;
+  const std::string token = "moments";
+  EXPECT_EQ(pool.Stats().shipped_bytes,
+            kHeaderBytes + token.size() + kRows * 3 * sizeof(double));
+}
+
+TEST(ChamberPoolTest, AbortingProgramFallsBackAndTheSlotRespawns) {
+  // A real crash inside the worker, no failpoint involved: the parent sees
+  // EOF on the response pipe, substitutes the fallback and discards the
+  // worker; the next lease respawns the slot and is healthy.
+  ChamberPool pool(ChamberPolicy{}, 1);
+  pool.SetProgramResolver(TestResolver());
+  ASSERT_TRUE(pool.Start().ok());
+  Dataset data = OneColumn({4, 5});
+  auto crashed = pool.Execute("abort", data.view(), Row{-1.0});
+  ASSERT_TRUE(crashed.ok());
+  EXPECT_TRUE(crashed->used_fallback);
+  EXPECT_FALSE(crashed->deadline_exceeded);
+  EXPECT_EQ(crashed->output, (Row{-1.0}));
+  EXPECT_EQ(crashed->program_status.code(), StatusCode::kPolicyViolation);
+  EXPECT_EQ(crashed->child_user_cpu_ns, 0);
+  EXPECT_EQ(pool.Stats().workers_alive, 0u);
+
+  auto next = pool.Execute("sum", data.view(), Row{0.0});
+  ASSERT_TRUE(next.ok());
+  EXPECT_FALSE(next->used_fallback);
+  EXPECT_EQ(next->output, (Row{9.0}));
+  ChamberPoolStats stats = pool.Stats();
+  EXPECT_EQ(stats.spawned, 2u);
+  EXPECT_EQ(stats.respawns, 1u);
+  EXPECT_EQ(stats.resets, 1u);
+  EXPECT_EQ(stats.workers_alive, 1u);
 }
 
 TEST(ChamberPoolTest, OneWorkerIsReusedNotRespawned) {
