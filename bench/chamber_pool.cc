@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -82,33 +83,29 @@ CopyCosts MeasureCopiedBytes(const Dataset& data) {
   CopyCosts costs;
 
   // Columnar: one block-shuffled gather; every view after it is free.
-  {
-    Rng rng(7);
-    double before = PartitionCounterValue();
-    auto set = PartitionDisjointView(data, kNumBlocks, &rng);
-    if (!set.ok()) std::exit(1);
-    costs.columnar_bytes = PartitionCounterValue() - before;
-    for (std::size_t b = 0; b < kNumBlocks; ++b) {
-      DatasetView view = set->view(b);  // zero-copy by construction
-      if (view.num_rows() == 0) std::exit(1);
-    }
+  Rng rng(7);
+  double before = PartitionCounterValue();
+  auto set = PartitionDisjointView(data, kNumBlocks, &rng);
+  if (!set.ok()) std::exit(1);
+  costs.columnar_bytes = PartitionCounterValue() - before;
+  for (std::size_t b = 0; b < kNumBlocks; ++b) {
+    DatasetView view = set->view(b);  // zero-copy by construction
+    if (view.num_rows() == 0) std::exit(1);
   }
 
-  // Row replica: the flow this refactor replaced — gather a Subset per
-  // block, then give the chamber its private row-major copy.
-  {
-    Rng rng(7);
-    auto plan = PartitionDisjoint(data.num_rows(), kNumBlocks, &rng);
-    if (!plan.ok()) std::exit(1);
-    for (const auto& indices : plan->blocks) {
-      auto block = data.Subset(indices);
-      if (!block.ok()) std::exit(1);
-      costs.row_bytes +=
-          static_cast<double>(indices.size() * kDims * sizeof(double));
-      std::vector<Row> private_copy = block->MaterializeRows();
-      costs.row_bytes += static_cast<double>(private_copy.size() * kDims *
-                                             sizeof(double));
-    }
+  // Row replica: the flow this refactor replaced — gather each block's
+  // rows into a table of its own (a per-block Subset), then give the
+  // chamber its private row-major copy.
+  for (std::size_t b = 0; b < kNumBlocks; ++b) {
+    std::vector<std::size_t> rows(set->slices[b].length);
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    auto block = set->block(b).Subset(rows);
+    if (!block.ok()) std::exit(1);
+    costs.row_bytes +=
+        static_cast<double>(rows.size() * kDims * sizeof(double));
+    std::vector<Row> private_copy = block->MaterializeRows();
+    costs.row_bytes +=
+        static_cast<double>(private_copy.size() * kDims * sizeof(double));
   }
   return costs;
 }

@@ -53,24 +53,41 @@ void BM_AccountantCharge(benchmark::State& state) {
 }
 BENCHMARK(BM_AccountantCharge);
 
-void BM_PartitionDisjoint(benchmark::State& state) {
+// One-column dataset of n rows, the input of the partition benchmarks.
+Dataset PartitionInput(std::size_t n) {
+  std::vector<double> values(n);
+  for (std::size_t i = 0; i < n; ++i) values[i] = static_cast<double>(i);
+  return Dataset::FromColumn(values).value();
+}
+
+// Partition + gather, with the scratch arena recycled per call as
+// PartitionStage does.
+void BM_PartitionDisjointView(benchmark::State& state) {
   Rng rng(5);
   auto n = static_cast<std::size_t>(state.range(0));
+  Dataset data = PartitionInput(n);
+  Arena scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PartitionDisjoint(n, DefaultNumBlocks(n), &rng));
+    scratch.Reset();
+    benchmark::DoNotOptimize(
+        PartitionDisjointView(data, DefaultNumBlocks(n), &rng, &scratch));
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_PartitionDisjoint)->Range(1 << 10, 1 << 16)->Complexity();
+BENCHMARK(BM_PartitionDisjointView)->Range(1 << 10, 1 << 16)->Complexity();
 
-void BM_PartitionResampled(benchmark::State& state) {
+void BM_PartitionResampledView(benchmark::State& state) {
   Rng rng(6);
   auto n = static_cast<std::size_t>(state.range(0));
+  Dataset data = PartitionInput(n);
+  Arena scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PartitionResampled(n, n / 16, 4, &rng));
+    scratch.Reset();
+    benchmark::DoNotOptimize(
+        PartitionResampledView(data, n / 16, 4, &rng, &scratch));
   }
 }
-BENCHMARK(BM_PartitionResampled)->Range(1 << 10, 1 << 16);
+BENCHMARK(BM_PartitionResampledView)->Range(1 << 10, 1 << 16);
 
 }  // namespace
 }  // namespace gupt

@@ -115,12 +115,6 @@ std::size_t Rng::Categorical(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-std::vector<std::size_t> Rng::Permutation(std::size_t n) {
-  std::vector<std::size_t> perm(n);
-  PermutationInto(n, perm.data());
-  return perm;
-}
-
 void Rng::PermutationInto(std::size_t n, std::size_t* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = i;
   if (n == 0) return;

@@ -73,13 +73,9 @@ class Rng {
     }
   }
 
-  /// A random permutation of {0, ..., n-1}.
-  std::vector<std::size_t> Permutation(std::size_t n);
-
   /// Writes a random permutation of {0, ..., n-1} into out[0..n), which
-  /// must hold n elements. Consumes exactly the same draws as
-  /// Permutation(n) — callers with arena-backed scratch get the identical
-  /// stream without the vector allocation.
+  /// must hold n elements. Consumes the same draws as Shuffle on an
+  /// n-element vector.
   void PermutationInto(std::size_t n, std::size_t* out);
 
   /// Derives an independent child generator; successive calls yield

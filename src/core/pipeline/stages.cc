@@ -529,9 +529,8 @@ Status PartitionStage::Run(QueryContext& ctx) const {
   // amplified query consumes the exact RNG stream of an unamplified one.
   const bool subsampled = plan.amplification != dp::AmplificationMode::kOff &&
                           plan.sampling_rate < 1.0;
-  std::optional<Dataset> subsample;
+  std::vector<std::size_t> keep;
   if (subsampled) {
-    std::vector<std::size_t> keep;
     keep.reserve(static_cast<std::size_t>(
         plan.sampling_rate * static_cast<double>(n) * 1.1) + 16);
     for (std::size_t i = 0; i < n; ++i) {
@@ -552,28 +551,21 @@ Status PartitionStage::Run(QueryContext& ctx) const {
           std::to_string(plan.num_blocks) + "); the admitted charge stands, "
           "re-running the query draws a fresh subsample");
     }
-    Result<Dataset> gathered = ctx.ds->data().Subset(keep);
-    if (!gathered.ok()) {
-      stage.set_ok(false);
-      return gathered.status();
-    }
-    subsample.emplace(std::move(gathered).value());
   }
-  const Dataset& rows = subsampled ? *subsample : ctx.ds->data();
-  const std::size_t n_rows = rows.num_rows();
+  const std::size_t n_rows = subsampled ? keep.size() : n;
 
-  // Fused partition+gather: the RNG stream is identical to the old
-  // index-plan path, and each block view holds the same rows in the same
-  // order the per-block Subset copies used to produce. The BlockSet owns
-  // its gathered store, so a temporary subsample dataset is safe.
+  // Fused partition+gather: the kept rows (or all rows) are permuted,
+  // dealt into blocks and gathered out of the registered dataset in one
+  // pass. Amplification requires gamma == 1 (PlanStage), so only the
+  // disjoint partitioner ever sees a subsample.
   Result<BlockSet> partitioned =
       plan.gamma > 1
-          ? PartitionResampledView(rows, plan.block_size, plan.gamma,
-                                   ctx.rng, &ctx.arena)
+          ? PartitionResampledView(ctx.ds->data(), plan.block_size,
+                                   plan.gamma, ctx.rng, &ctx.arena)
           : PartitionDisjointView(
-                rows,
+                ctx.ds->data(),
                 std::max<std::size_t>(1, std::min(plan.num_blocks, n_rows)),
-                ctx.rng, &ctx.arena);
+                ctx.rng, &ctx.arena, subsampled ? &keep : nullptr);
   if (!partitioned.ok()) {
     stage.set_ok(false);
     return partitioned.status();

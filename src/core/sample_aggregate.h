@@ -26,7 +26,7 @@ struct AggregateOptions {
   double epsilon_per_dim = 1.0;
   /// Clamp range per output dimension; arity must match the outputs.
   std::vector<Range> output_ranges;
-  /// Resampling multiplicity from the BlockPlan.
+  /// Resampling multiplicity from the BlockSet.
   std::size_t gamma = 1;
 };
 

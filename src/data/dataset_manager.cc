@@ -23,8 +23,9 @@ Status DatasetManager::Register(const std::string& name, Dataset data,
   if (datasets_.count(name) != 0) {
     return Status::AlreadyExists("dataset already registered: " + name);
   }
-  if (!(options.total_epsilon > 0.0)) {
-    return Status::InvalidArgument("total privacy budget must be positive");
+  if (!std::isfinite(options.total_epsilon) || options.total_epsilon <= 0.0) {
+    return Status::InvalidArgument(
+        "total privacy budget must be finite and positive");
   }
   if (options.aged_fraction < 0.0 || options.aged_fraction >= 1.0) {
     return Status::InvalidArgument("aged_fraction must lie in [0, 1)");

@@ -25,7 +25,8 @@ namespace gupt {
 
 /// Registration-time options supplied by the data owner.
 struct DatasetOptions {
-  /// Total privacy budget for all queries against this dataset.
+  /// Total privacy budget for all queries against this dataset; must be
+  /// finite and positive.
   double total_epsilon = 1.0;
   /// Public per-dimension input ranges. These must come from public
   /// knowledge (e.g. "household income lies in [0, 500000]"), never from

@@ -40,88 +40,11 @@ std::shared_ptr<const ColumnStore> GatherStore(const Dataset& data,
 
 }  // namespace
 
-Result<BlockPlan> PartitionDisjoint(std::size_t n, std::size_t num_blocks,
-                                    Rng* rng) {
-  if (n == 0) {
-    return Status::InvalidArgument("cannot partition an empty dataset");
-  }
-  if (num_blocks == 0 || num_blocks > n) {
-    return Status::InvalidArgument(
-        "num_blocks must be in [1, n]; got " + std::to_string(num_blocks) +
-        " for n=" + std::to_string(n));
-  }
-  std::vector<std::size_t> perm = rng->Permutation(n);
-  BlockPlan plan;
-  plan.gamma = 1;
-  plan.blocks.resize(num_blocks);
-  // Deal the permutation round-robin so block sizes differ by at most one.
-  for (std::size_t i = 0; i < n; ++i) {
-    plan.blocks[i % num_blocks].push_back(perm[i]);
-  }
-  return plan;
-}
-
-Result<BlockPlan> PartitionResampled(std::size_t n, std::size_t block_size,
-                                     std::size_t gamma, Rng* rng) {
-  if (n == 0) {
-    return Status::InvalidArgument("cannot partition an empty dataset");
-  }
-  if (block_size == 0 || block_size > n) {
-    return Status::InvalidArgument(
-        "block_size must be in [1, n]; got " + std::to_string(block_size) +
-        " for n=" + std::to_string(n));
-  }
-  if (gamma == 0) {
-    return Status::InvalidArgument("resampling factor gamma must be >= 1");
-  }
-  BlockPlan plan;
-  plan.gamma = gamma;
-  const std::size_t blocks_per_group = (n + block_size - 1) / block_size;
-  plan.blocks.reserve(gamma * blocks_per_group);
-  for (std::size_t g = 0; g < gamma; ++g) {
-    std::vector<std::size_t> perm = rng->Permutation(n);
-    for (std::size_t start = 0; start < n; start += block_size) {
-      std::size_t end = std::min(start + block_size, n);
-      plan.blocks.emplace_back(perm.begin() + static_cast<std::ptrdiff_t>(start),
-                               perm.begin() + static_cast<std::ptrdiff_t>(end));
-    }
-  }
-  return plan;
-}
-
-Result<BlockSet> MaterializeBlocks(const Dataset& data, const BlockPlan& plan) {
-  if (plan.blocks.empty()) {
-    return Status::InvalidArgument("cannot materialize an empty block plan");
-  }
-  std::size_t total = 0;
-  for (const auto& block : plan.blocks) {
-    if (block.empty()) {
-      return Status::InvalidArgument("block plan contains an empty block");
-    }
-    for (std::size_t i : block) {
-      if (i >= data.num_rows()) {
-        return Status::InvalidArgument("block index out of range");
-      }
-    }
-    total += block.size();
-  }
-  std::vector<std::size_t> gather;
-  gather.reserve(total);
-  BlockSet set;
-  set.gamma = plan.gamma;
-  set.slices.reserve(plan.blocks.size());
-  for (const auto& block : plan.blocks) {
-    set.slices.push_back(BlockSlice{gather.size(), block.size()});
-    gather.insert(gather.end(), block.begin(), block.end());
-  }
-  set.store = GatherStore(data, gather.data(), total);
-  return set;
-}
-
 Result<BlockSet> PartitionDisjointView(const Dataset& data,
                                        std::size_t num_blocks, Rng* rng,
-                                       Arena* scratch) {
-  const std::size_t n = data.num_rows();
+                                       Arena* scratch,
+                                       const std::vector<std::size_t>* rows) {
+  const std::size_t n = rows != nullptr ? rows->size() : data.num_rows();
   if (n == 0) {
     return Status::InvalidArgument("cannot partition an empty dataset");
   }
@@ -134,10 +57,14 @@ Result<BlockSet> PartitionDisjointView(const Dataset& data,
   Arena* arena = scratch != nullptr ? scratch : &local;
   std::size_t* perm = arena->AllocateArray<std::size_t>(n);
   rng->PermutationInto(n, perm);
+  if (rows != nullptr) {
+    // Permuted position -> data row, so the one gather below reads the
+    // listed rows straight out of `data`.
+    for (std::size_t i = 0; i < n; ++i) perm[i] = (*rows)[perm[i]];
+  }
 
-  // Round-robin deal: record i lands in block i % num_blocks at position
-  // i / num_blocks — identical block contents and order to
-  // PartitionDisjoint's blocks[i % num_blocks].push_back(perm[i]).
+  // Round-robin deal: permuted record i lands in block i % num_blocks at
+  // position i / num_blocks, so block sizes differ by at most one.
   std::size_t* offsets = arena->AllocateArray<std::size_t>(num_blocks);
   const std::size_t base = n / num_blocks;
   const std::size_t rem = n % num_blocks;

@@ -8,15 +8,13 @@
 // One record change therefore touches exactly gamma blocks, matching the
 // sensitivity argument of Claim 1.
 //
-// Two representations are provided. BlockPlan is the index-level plan
-// (blocks of row indices) that the aging model and tests inspect. BlockSet
-// is the execution-layer product: the selected rows gathered ONCE into a
+// A partition is a BlockSet: the selected rows gathered ONCE into a
 // block-shuffled columnar store, so that every block is a zero-copy
-// offset+length view. The fused Partition*View entry points draw exactly
-// the same RNG stream as their BlockPlan counterparts and lay rows out in
-// exactly the block order ExecuteOnBlocks used to obtain via per-block
-// Dataset::Subset copies, which is what keeps query outputs bit-identical
-// across the columnar refactor.
+// offset+length view. The Partition*View entry points draw the random
+// permutation and gather in one pass, without materializing per-block
+// index lists. An amplified query's Bernoulli subsample (dp/amplification.h)
+// is handed to PartitionDisjointView as a row-index list and gathered in
+// that same pass, so the subsample is never copied on its own.
 
 #ifndef GUPT_DATA_PARTITIONER_H_
 #define GUPT_DATA_PARTITIONER_H_
@@ -31,28 +29,6 @@
 #include "data/dataset.h"
 
 namespace gupt {
-
-/// The output of a partitioning step: blocks of row indices plus the
-/// multiplicity gamma needed for sensitivity accounting.
-struct BlockPlan {
-  std::vector<std::vector<std::size_t>> blocks;
-  /// How many blocks each record appears in (1 without resampling).
-  std::size_t gamma = 1;
-
-  std::size_t num_blocks() const { return blocks.size(); }
-};
-
-/// Randomly partitions {0..n-1} into `num_blocks` disjoint blocks whose
-/// sizes differ by at most one. Errors when num_blocks is 0 or exceeds n.
-Result<BlockPlan> PartitionDisjoint(std::size_t n, std::size_t num_blocks,
-                                    Rng* rng);
-
-/// Resampled partition: gamma independent disjoint partitions of {0..n-1}
-/// into blocks of size `block_size` (the final block of each group may be
-/// smaller when block_size does not divide n). Errors when block_size is 0
-/// or exceeds n, or gamma is 0.
-Result<BlockPlan> PartitionResampled(std::size_t n, std::size_t block_size,
-                                     std::size_t gamma, Rng* rng);
 
 /// One block's window into a BlockSet's gathered store.
 struct BlockSlice {
@@ -86,23 +62,24 @@ struct BlockSet {
   }
 };
 
-/// Gathers `plan`'s blocks out of `data` into a BlockSet. Block b's rows
-/// have the same values in the same order as data.Subset(plan.blocks[b])
-/// would produce. Errors on an empty plan, an empty block, or an
-/// out-of-range index. Bytes copied are counted in the
-/// gupt_data_partition_copied_bytes_total metric.
-Result<BlockSet> MaterializeBlocks(const Dataset& data, const BlockPlan& plan);
+/// Randomly partitions data's rows into `num_blocks` disjoint blocks whose
+/// sizes differ by at most one, gathered into one BlockSet (gamma = 1).
+/// With `rows` given, only data's rows at those indices are partitioned,
+/// as if data.Subset(*rows) had been partitioned: same blocks, same order,
+/// same RNG draws, one gather. `rows` must hold distinct indices below
+/// data.num_rows(). Errors when there are no rows to partition, or
+/// num_blocks is 0 or exceeds their count. `scratch`, when given, supplies
+/// the permutation/gather scratch (recycled across queries by Reset()).
+/// Bytes copied are counted in gupt_data_partition_copied_bytes_total.
+Result<BlockSet> PartitionDisjointView(
+    const Dataset& data, std::size_t num_blocks, Rng* rng,
+    Arena* scratch = nullptr, const std::vector<std::size_t>* rows = nullptr);
 
-/// Fused partition+gather: PartitionDisjoint followed by MaterializeBlocks
-/// in one pass, without materializing index vectors. Draws the identical
-/// RNG stream as PartitionDisjoint. `scratch`, when given, supplies the
-/// permutation/gather scratch (recycled across queries by Reset()).
-Result<BlockSet> PartitionDisjointView(const Dataset& data,
-                                       std::size_t num_blocks, Rng* rng,
-                                       Arena* scratch = nullptr);
-
-/// Fused resampled partition+gather; see PartitionResampled for the block
-/// structure and error contract. Draws the identical RNG stream.
+/// Resampled partition: gamma independent disjoint partitions of data's n
+/// rows into blocks of size `block_size` (the final block of each group
+/// may be smaller when block_size does not divide n), gathered into one
+/// BlockSet. Errors when n is 0, block_size is 0 or exceeds n, or gamma
+/// is 0.
 Result<BlockSet> PartitionResampledView(const Dataset& data,
                                         std::size_t block_size,
                                         std::size_t gamma, Rng* rng,

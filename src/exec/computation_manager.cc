@@ -51,20 +51,18 @@ ComputationManager::ComputationManager(ThreadPool* pool, ChamberPolicy policy,
 }
 
 Result<BlockExecutionReport> ComputationManager::ExecuteOnBlocks(
-    const ProgramFactory& factory, const Dataset& dataset,
-    const BlockPlan& plan, const Row& fallback) const {
-  if (plan.blocks.empty()) {
-    return Status::InvalidArgument("block plan has no blocks");
-  }
-  GUPT_ASSIGN_OR_RETURN(BlockSet blocks, MaterializeBlocks(dataset, plan));
-  return ExecuteOnBlocks(factory, blocks, fallback);
-}
-
-Result<BlockExecutionReport> ComputationManager::ExecuteOnBlocks(
     const ProgramFactory& factory, const BlockSet& blocks, const Row& fallback,
     const std::string& pool_token) const {
   if (blocks.empty()) {
     return Status::InvalidArgument("block set has no blocks");
+  }
+  // Chambers read their slice unchecked, so a hand-built BlockSet is
+  // validated before any untrusted code runs.
+  for (const BlockSlice& slice : blocks.slices) {
+    if (blocks.store == nullptr || slice.length == 0 ||
+        slice.offset + slice.length > blocks.store->num_rows) {
+      return Status::InvalidArgument("block slice outside the block store");
+    }
   }
   const bool use_pool = chamber_pool_ != nullptr && !pool_token.empty();
 
@@ -155,12 +153,6 @@ Result<BlockExecutionReport> ComputationManager::ExecuteOnBlocks(
     child_max_rss_gauge_->Set(child_rss_bytes);  // racy max: a watermark
   }
   return report;
-}
-
-Result<ChamberRun> ComputationManager::ExecuteOnce(
-    const ProgramFactory& factory, const Dataset& dataset,
-    const Row& fallback) const {
-  return chamber_.Execute(factory, dataset, fallback);
 }
 
 }  // namespace gupt

@@ -37,7 +37,7 @@ struct BlockTiming {
 
 /// Aggregate of one fan-out over all blocks.
 struct BlockExecutionReport {
-  /// Per-block outcomes, indexed like the BlockPlan's blocks.
+  /// Per-block outcomes, indexed like the BlockSet's blocks.
   std::vector<ChamberRun> runs;
   /// Per-block scheduling facts, indexed like `runs`.
   std::vector<BlockTiming> timings;
@@ -70,25 +70,13 @@ class ComputationManager {
   /// When this manager has a chamber pool and `pool_token` is non-empty,
   /// blocks run on pre-warmed pool workers (the token is resolved inside
   /// the worker); otherwise the in-process or fork-per-block chamber runs
-  /// `factory` directly.
+  /// `factory` directly. Errors before running anything when `blocks` is
+  /// empty or holds an empty slice or one outside its store.
   Result<BlockExecutionReport> ExecuteOnBlocks(const ProgramFactory& factory,
                                                const BlockSet& blocks,
                                                const Row& fallback,
                                                const std::string& pool_token =
                                                    std::string()) const;
-
-  /// Compatibility shim: gathers `plan`'s blocks out of `dataset` (one
-  /// copy total) and runs them as above.
-  Result<BlockExecutionReport> ExecuteOnBlocks(const ProgramFactory& factory,
-                                               const Dataset& dataset,
-                                               const BlockPlan& plan,
-                                               const Row& fallback) const;
-
-  /// Runs the program once over an explicit dataset (no partitioning) in a
-  /// single chamber. Used for whole-dataset baselines and the aged slice.
-  Result<ChamberRun> ExecuteOnce(const ProgramFactory& factory,
-                                 const Dataset& dataset,
-                                 const Row& fallback) const;
 
   const ChamberPolicy& policy() const { return chamber_.policy(); }
 

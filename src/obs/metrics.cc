@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace gupt {
 namespace obs {
 namespace {
@@ -51,39 +53,6 @@ std::string EscapePromValue(const std::string& value) {
       out += "\\n";
     } else {
       out += c;
-    }
-  }
-  return out;
-}
-
-std::string EscapeJson(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
     }
   }
   return out;
@@ -406,11 +375,11 @@ std::string MetricsRegistry::ExportJson() const {
                        : family.kind == Kind::kGauge   ? "gauge"
                                                        : "histogram";
     out += "{\"name\":\"";
-    out += EscapeJson(name);
+    out += JsonEscape(name);
     out += "\",\"type\":\"";
     out += type;
     out += "\",\"help\":\"";
-    out += EscapeJson(family.help);
+    out += JsonEscape(family.help);
     out += "\",\"series\":[";
     bool first_series = true;
     for (const auto& [key, instrument] : family.series) {
@@ -421,9 +390,9 @@ std::string MetricsRegistry::ExportJson() const {
       for (std::size_t i = 0; i < labels.size(); ++i) {
         if (i > 0) out += ',';
         out += '"';
-        out += EscapeJson(labels[i].first);
+        out += JsonEscape(labels[i].first);
         out += "\":\"";
-        out += EscapeJson(labels[i].second);
+        out += JsonEscape(labels[i].second);
         out += '"';
       }
       out += "},";

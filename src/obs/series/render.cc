@@ -6,19 +6,13 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace gupt {
 namespace obs {
 namespace series {
 
 namespace {
-
-/// 17 significant digits: enough for bit-exact double round-trips.
-std::string JsonDouble(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 std::string TextDouble(double value) {
   if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
@@ -26,39 +20,6 @@ std::string TextDouble(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.6g", value);
   return buffer;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::int64_t WindowMinTNs(const SeriesStore& store, double window_seconds) {

@@ -3,7 +3,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
+
+#include "obs/json.h"
 
 namespace gupt {
 namespace obs {
@@ -33,41 +34,6 @@ std::string FormatGauge(double value) {
     std::snprintf(buf, sizeof(buf), "%g", value);
   }
   return buf;
-}
-
-std::string EscapeJson(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonNumber(double value) {
-  if (std::isnan(value) || std::isinf(value)) return "null";
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
 }
 
 }  // namespace
@@ -172,7 +138,7 @@ std::string QueryTrace::ToJson() const {
     if (i > 0) out += ',';
     const SpanRecord& span = spans_[i];
     out += "{\"name\":\"";
-    out += EscapeJson(span.name);
+    out += JsonEscape(span.name);
     out += "\",\"start_ns\":";
     out += std::to_string(span.start_ns);
     out += ",\"duration_ns\":";
@@ -185,7 +151,7 @@ std::string QueryTrace::ToJson() const {
     out += span.ok ? "true" : "false";
     if (!span.note.empty()) {
       out += ",\"note\":\"";
-      out += EscapeJson(span.note);
+      out += JsonEscape(span.note);
       out += '"';
     }
     out += "}";
@@ -210,9 +176,9 @@ std::string QueryTrace::ToJson() const {
   for (std::size_t i = 0; i < gauges_.size(); ++i) {
     if (i > 0) out += ',';
     out += '"';
-    out += EscapeJson(gauges_[i].first);
+    out += JsonEscape(gauges_[i].first);
     out += "\":";
-    out += JsonNumber(gauges_[i].second);
+    out += JsonDouble(gauges_[i].second);
   }
   out += "}}";
   return out;

@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "data/budget_store.h"
 #include "obs/introspect/trace_event.h"
+#include "obs/json.h"
 #include "obs/prof/profiler.h"
 #include "obs/series/render.h"
 #include "obs/trace.h"
@@ -18,47 +19,8 @@
 namespace gupt {
 namespace {
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// 17 significant digits: enough for a double to round-trip exactly, so
-/// /budgetz totals can be compared against the accountant bit-for-bit.
-std::string JsonDouble(double value) {
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
+using obs::JsonDouble;
+using obs::JsonEscape;
 
 /// Serialises a ProgramSpec into the opaque token a pool worker resolves
 /// back through its captured registry. Newline-delimited: program names

@@ -172,8 +172,8 @@ TEST(RngTest, CategoricalSingleElement) {
 TEST(RngTest, PermutationIsAPermutation) {
   Rng rng(67);
   for (std::size_t n : {1u, 2u, 17u, 100u}) {
-    std::vector<std::size_t> perm = rng.Permutation(n);
-    ASSERT_EQ(perm.size(), n);
+    std::vector<std::size_t> perm(n);
+    rng.PermutationInto(n, perm.data());
     std::set<std::size_t> unique(perm.begin(), perm.end());
     EXPECT_EQ(unique.size(), n);
     EXPECT_EQ(*unique.begin(), 0u);
@@ -183,7 +183,10 @@ TEST(RngTest, PermutationIsAPermutation) {
 
 TEST(RngTest, PermutationOfZeroIsEmpty) {
   Rng rng(67);
-  EXPECT_TRUE(rng.Permutation(0).empty());
+  // Writes nothing and consumes no draws.
+  Rng fresh(67);
+  rng.PermutationInto(0, nullptr);
+  EXPECT_EQ(rng.NextUint64(), fresh.NextUint64());
 }
 
 TEST(RngTest, ShuffleKeepsElements) {

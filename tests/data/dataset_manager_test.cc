@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace gupt {
 namespace {
 
@@ -50,6 +52,21 @@ TEST(DatasetManagerTest, NonPositiveBudgetRejected) {
   DatasetOptions opts;
   opts.total_epsilon = 0.0;
   EXPECT_FALSE(mgr.Register("d", MakeCounting(5), opts).ok());
+}
+
+// An infinite budget would never refuse a query and could not be written
+// to the ledger and restored; NaN compares false against every bound.
+TEST(DatasetManagerTest, NonFiniteBudgetRejected) {
+  for (double total : {std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    DatasetManager mgr;
+    DatasetOptions opts;
+    opts.total_epsilon = total;
+    Status status = mgr.Register("d", MakeCounting(5), opts);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << total;
+    EXPECT_FALSE(mgr.Get("d").ok()) << total;
+  }
 }
 
 TEST(DatasetManagerTest, AgedFractionPeelsOldestRows) {

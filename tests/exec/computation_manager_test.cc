@@ -23,24 +23,27 @@ ProgramFactory BlockMean() {
                             });
 }
 
-BlockPlan SequentialPlan(std::size_t n, std::size_t num_blocks) {
-  BlockPlan plan;
-  plan.blocks.resize(num_blocks);
-  for (std::size_t i = 0; i < n; ++i) {
-    plan.blocks[i % num_blocks].push_back(i);
+// `num_blocks` equal contiguous slices directly over the dataset's own
+// store (num_blocks must divide its row count): blocks without a gather.
+BlockSet SequentialBlocks(const Dataset& data, std::size_t num_blocks) {
+  BlockSet set;
+  set.store = data.store();
+  const std::size_t length = data.num_rows() / num_blocks;
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    set.slices.push_back(BlockSlice{data.offset() + b * length, length});
   }
-  return plan;
+  return set;
 }
 
 TEST(ComputationManagerTest, SequentialExecutesEveryBlock) {
   ComputationManager manager(nullptr, ChamberPolicy{});
   Dataset data = Counting(20);
-  auto report = manager.ExecuteOnBlocks(BlockMean(), data,
-                                        SequentialPlan(20, 4), Row{0.0});
+  auto report = manager.ExecuteOnBlocks(BlockMean(),
+                                        SequentialBlocks(data, 4), Row{0.0});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->runs.size(), 4u);
   EXPECT_EQ(report->fallback_count, 0u);
-  // Block means average to the global mean for a balanced round-robin deal.
+  // Block means average to the global mean for equal-size blocks.
   std::vector<Row> outputs = report->Outputs();
   double sum = 0.0;
   for (const Row& o : outputs) sum += o[0];
@@ -49,15 +52,15 @@ TEST(ComputationManagerTest, SequentialExecutesEveryBlock) {
 
 TEST(ComputationManagerTest, ParallelMatchesSequentialOutputs) {
   Dataset data = Counting(100);
-  BlockPlan plan = SequentialPlan(100, 10);
+  BlockSet blocks = SequentialBlocks(data, 10);
   ComputationManager sequential(nullptr, ChamberPolicy{});
   ThreadPool pool(4);
   ComputationManager parallel(&pool, ChamberPolicy{});
-  auto a = sequential.ExecuteOnBlocks(BlockMean(), data, plan, Row{0.0});
-  auto b = parallel.ExecuteOnBlocks(BlockMean(), data, plan, Row{0.0});
+  auto a = sequential.ExecuteOnBlocks(BlockMean(), blocks, Row{0.0});
+  auto b = parallel.ExecuteOnBlocks(BlockMean(), blocks, Row{0.0});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  // Same plan, deterministic program: identical per-block outputs in order.
+  // Same blocks, deterministic program: identical per-block outputs in order.
   EXPECT_EQ(a->Outputs(), b->Outputs());
 }
 
@@ -70,11 +73,9 @@ TEST(ComputationManagerTest, CountsFallbacks) {
         }
         return Row{1.0};
       });
-  Dataset data = Counting(4);
-  BlockPlan plan;
-  plan.blocks = {{0}, {1}, {2}, {3}};
   ComputationManager manager(nullptr, ChamberPolicy{});
-  auto report = manager.ExecuteOnBlocks(flaky, data, plan, Row{-1.0});
+  auto report = manager.ExecuteOnBlocks(
+      flaky, SequentialBlocks(Counting(4), 4), Row{-1.0});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->fallback_count, 2u);
   EXPECT_EQ(report->Outputs()[0], (Row{-1.0}));
@@ -83,9 +84,7 @@ TEST(ComputationManagerTest, CountsFallbacks) {
 
 TEST(ComputationManagerTest, EmptyPlanRejected) {
   ComputationManager manager(nullptr, ChamberPolicy{});
-  EXPECT_FALSE(
-      manager.ExecuteOnBlocks(BlockMean(), Counting(5), BlockPlan{}, Row{0.0})
-          .ok());
+  EXPECT_FALSE(manager.ExecuteOnBlocks(BlockMean(), BlockSet{}, Row{0.0}).ok());
 }
 
 TEST(ComputationManagerTest, BadBlockIndexRejectedBeforeExecution) {
@@ -95,20 +94,17 @@ TEST(ComputationManagerTest, BadBlockIndexRejectedBeforeExecution) {
         executions.fetch_add(1);
         return Row{0.0};
       });
-  BlockPlan plan;
-  plan.blocks = {{0}, {99}};  // 99 is out of range for 5 rows
+  Dataset data = Counting(5);
   ComputationManager manager(nullptr, ChamberPolicy{});
+  BlockSet past_end = SequentialBlocks(data, 5);
+  past_end.slices[1] = BlockSlice{99, 1};  // row 99 of a 5-row store
   EXPECT_FALSE(
-      manager.ExecuteOnBlocks(counting_program, Counting(5), plan, Row{0.0})
-          .ok());
+      manager.ExecuteOnBlocks(counting_program, past_end, Row{0.0}).ok());
+  BlockSet empty_block = SequentialBlocks(data, 5);
+  empty_block.slices[2].length = 0;
+  EXPECT_FALSE(
+      manager.ExecuteOnBlocks(counting_program, empty_block, Row{0.0}).ok());
   EXPECT_EQ(executions.load(), 0);  // no untrusted code ran
-}
-
-TEST(ComputationManagerTest, ExecuteOnceRunsWholeDataset) {
-  ComputationManager manager(nullptr, ChamberPolicy{});
-  auto run = manager.ExecuteOnce(BlockMean(), Counting(11), Row{0.0});
-  ASSERT_TRUE(run.ok());
-  EXPECT_NEAR(run->output[0], 5.0, 1e-9);
 }
 
 TEST(ComputationManagerTest, AggregatesPolicyViolationCounts) {
@@ -124,10 +120,9 @@ TEST(ComputationManagerTest, AggregatesPolicyViolationCounts) {
     std::string name() const override { return "noisy"; }
   };
   ProgramFactory factory = [] { return std::make_unique<Noisy>(); };
-  BlockPlan plan;
-  plan.blocks = {{0}, {1}, {2}};
   ComputationManager manager(nullptr, ChamberPolicy{});
-  auto report = manager.ExecuteOnBlocks(factory, Counting(3), plan, Row{0.0});
+  auto report = manager.ExecuteOnBlocks(
+      factory, SequentialBlocks(Counting(3), 3), Row{0.0});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->policy_violation_count, 3u);
 }

@@ -185,9 +185,8 @@ TEST_F(FaultInjectionTest, ManagerBlockFaultFailsTheWholeFanOut) {
   ComputationManager manager(nullptr, ChamberPolicy{});
   Rng rng(1);
   Dataset data = OneColumn({1, 2, 3, 4, 5, 6, 7, 8});
-  BlockPlan plan = PartitionDisjoint(8, 4, &rng).value();
-  auto report =
-      manager.ExecuteOnBlocks(Constant(1.0), data, plan, Row{0.0});
+  BlockSet blocks = PartitionDisjointView(data, 4, &rng).value();
+  auto report = manager.ExecuteOnBlocks(Constant(1.0), blocks, Row{0.0});
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInternal);
   EXPECT_TRUE(failpoints::IsInjected(report.status()));
@@ -208,9 +207,9 @@ TEST_F(FaultInjectionTest, EveryFourthBlockCrashYieldsExactFallbackCount) {
   Rng rng(2);
   std::vector<double> values(64, 3.0);
   Dataset data = OneColumn(values);
-  BlockPlan plan = PartitionDisjoint(64, 8, &rng).value();
+  BlockSet blocks = PartitionDisjointView(data, 8, &rng).value();
   const Row fallback{0.5};
-  auto report = manager.ExecuteOnBlocks(Constant(3.0), data, plan, fallback);
+  auto report = manager.ExecuteOnBlocks(Constant(3.0), blocks, fallback);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->fallback_count, 2u);
   EXPECT_EQ(fp.fires(), 2u);

@@ -72,10 +72,10 @@ TEST(ForwardingAgentTest, MessagesDoNotCrossRuns) {
 TEST(ForwardingAgentTest, VisibleThroughComputationManagerRuns) {
   ProgramFactory factory = [] { return std::make_unique<ChattyProgram>(1); };
   ComputationManager manager(nullptr, ChamberPolicy{});
-  BlockPlan plan;
-  plan.blocks = {{0}, {1}};
-  auto report = manager.ExecuteOnBlocks(factory, OneColumn({1, 2}), plan,
-                                        Row{0.0});
+  BlockSet blocks;
+  blocks.store = OneColumn({1, 2}).store();
+  blocks.slices = {BlockSlice{0, 1}, BlockSlice{1, 1}};
+  auto report = manager.ExecuteOnBlocks(factory, blocks, Row{0.0});
   ASSERT_TRUE(report.ok());
   for (const ChamberRun& run : report->runs) {
     EXPECT_EQ(run.forwarded_messages.size(), 1u);
